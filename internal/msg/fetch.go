@@ -73,17 +73,32 @@ type FetchResp struct {
 
 // AppendFetchResp encodes a KindFetch response payload onto b.
 func AppendFetchResp(b []byte, r *FetchResp) ([]byte, error) {
+	b, err := AppendFetchRespHeader(b, r)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, r.Chunk...), nil
+}
+
+// AppendFetchRespHeader encodes a KindFetch response payload onto b up to,
+// but not including, the chunk bytes: the header followed by r.Chunk is
+// exactly AppendFetchResp's encoding. A holder sends the header as a
+// Response's Data and the chunk — a view of its stored copy — as the
+// DataTail, so serving a range never copies it.
+func AppendFetchRespHeader(b []byte, r *FetchResp) ([]byte, error) {
 	if r.TotalSize > MaxFileSize || len(r.Chunk) > MaxChunkBytes {
 		return nil, ErrFrameTooLarge
 	}
 	b = binary.BigEndian.AppendUint64(b, r.TotalSize)
 	b = binary.BigEndian.AppendUint32(b, r.FileCRC)
 	b = binary.BigEndian.AppendUint32(b, r.ChunkCRC)
-	b = appendBytes(b, r.Chunk)
-	return b, nil
+	return binary.BigEndian.AppendUint32(b, uint32(len(r.Chunk))), nil
 }
 
-// DecodeFetchResp parses a KindFetch response payload.
+// DecodeFetchResp parses a KindFetch response payload. The returned Chunk
+// is a capacity-limited view into b, not a copy: b must stay unmodified
+// for as long as Chunk is used, which holds for the Data of a Response
+// read off the wire — it belongs to that Response alone.
 func DecodeFetchResp(b []byte) (*FetchResp, error) {
 	r := &FetchResp{}
 	var err error
@@ -96,7 +111,7 @@ func DecodeFetchResp(b []byte) (*FetchResp, error) {
 	if r.ChunkCRC, b, err = takeUint32(b); err != nil {
 		return nil, err
 	}
-	if r.Chunk, b, err = takeBytes(b, MaxChunkBytes); err != nil {
+	if r.Chunk, b, err = takeBytes(b, MaxChunkBytes, true); err != nil {
 		return nil, err
 	}
 	if len(b) != 0 || r.TotalSize > MaxFileSize || uint64(len(r.Chunk)) > r.TotalSize {

@@ -23,10 +23,12 @@
 package msg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"time"
@@ -431,6 +433,13 @@ type Response struct {
 	Version  uint64
 	Err      string
 	Data     []byte
+	// DataTail continues Data on the wire: the payload field carries Data
+	// followed by DataTail under one length prefix, byte-identical to
+	// encoding append(Data, DataTail...). It lets a handler answer with
+	// bytes it does not own — a view of a stored copy after a small header
+	// in Data — without first copying them into one buffer. Decoders never
+	// set it: a decoded Response holds its whole payload in Data.
+	DataTail []byte
 	// Path is the completed route of a traced request: the request's
 	// accumulated hops plus the serving node's own record. Intermediate
 	// peers relay it back unchanged.
@@ -480,7 +489,11 @@ func takeString(b []byte, max int) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-func takeBytes(b []byte, max int) ([]byte, []byte, error) {
+// takeBytes splits a length-prefixed byte field off b. With view set the
+// field is returned as a capacity-limited view into b — appending to it
+// reallocates instead of overwriting the bytes after it — for callers
+// that own b; otherwise it is copied out.
+func takeBytes(b []byte, max int, view bool) ([]byte, []byte, error) {
 	n, b, err := takeUint32(b)
 	if err != nil {
 		return nil, nil, err
@@ -488,31 +501,55 @@ func takeBytes(b []byte, max int) ([]byte, []byte, error) {
 	if int(n) > max || int(n) > len(b) {
 		return nil, nil, ErrCorrupt
 	}
+	if view {
+		return b[:n:n], b[n:], nil
+	}
 	out := make([]byte, n)
 	copy(out, b[:n])
 	return out, b[n:], nil
 }
 
-// AppendRequest encodes r onto b. The trace section (TraceID + Path)
-// rides at the tail so the fixed 22-byte header layout predates it.
-func AppendRequest(b []byte, r *Request) ([]byte, error) {
-	if len(r.Name) > MaxName || len(r.Data) > MaxData || len(r.Path) > MaxHops {
-		return nil, ErrFrameTooLarge
-	}
+func requestSane(r *Request) bool {
+	return len(r.Name) <= MaxName && len(r.Data) <= MaxData && len(r.Path) <= MaxHops
+}
+
+// appendRequestHead encodes r up to and including the Data length
+// prefix; appendRequestTail encodes the trace section after Data. The
+// trace section (TraceID + Path) rides at the tail so the fixed 22-byte
+// header layout predates it.
+func appendRequestHead(b []byte, r *Request) []byte {
 	b = append(b, byte(r.Kind), r.Flags)
 	b = binary.BigEndian.AppendUint32(b, r.Origin)
 	b = binary.BigEndian.AppendUint32(b, r.Hops)
 	b = binary.BigEndian.AppendUint32(b, r.Subtree)
 	b = binary.BigEndian.AppendUint64(b, r.Version)
 	b = appendString(b, r.Name)
-	b = appendBytes(b, r.Data)
-	b = binary.BigEndian.AppendUint64(b, r.TraceID)
-	b = appendHops(b, r.Path)
-	return b, nil
+	return binary.BigEndian.AppendUint32(b, uint32(len(r.Data)))
 }
 
-// DecodeRequest parses a request payload.
+func appendRequestTail(b []byte, r *Request) []byte {
+	b = binary.BigEndian.AppendUint64(b, r.TraceID)
+	return appendHops(b, r.Path)
+}
+
+// AppendRequest encodes r onto b.
+func AppendRequest(b []byte, r *Request) ([]byte, error) {
+	if !requestSane(r) {
+		return nil, ErrFrameTooLarge
+	}
+	b = appendRequestHead(b, r)
+	b = append(b, r.Data...)
+	return appendRequestTail(b, r), nil
+}
+
+// DecodeRequest parses a request payload. Data is copied out of b.
 func DecodeRequest(b []byte) (*Request, error) {
+	return decodeRequest(b, false)
+}
+
+// decodeRequest parses a request payload; with view set (the caller owns
+// b) Data is a view into b instead of a copy.
+func decodeRequest(b []byte, view bool) (*Request, error) {
 	if len(b) < 2 {
 		return nil, ErrCorrupt
 	}
@@ -534,7 +571,7 @@ func DecodeRequest(b []byte) (*Request, error) {
 	if r.Name, b, err = takeString(b, MaxName); err != nil {
 		return nil, err
 	}
-	if r.Data, b, err = takeBytes(b, MaxData); err != nil {
+	if r.Data, b, err = takeBytes(b, MaxData, view); err != nil {
 		return nil, err
 	}
 	if r.TraceID, b, err = takeUint64(b); err != nil {
@@ -549,11 +586,15 @@ func DecodeRequest(b []byte) (*Request, error) {
 	return r, nil
 }
 
-// AppendResponse encodes resp onto b.
-func AppendResponse(b []byte, resp *Response) ([]byte, error) {
-	if len(resp.Err) > MaxName || len(resp.Data) > MaxData || len(resp.Path) > MaxHops {
-		return nil, ErrFrameTooLarge
-	}
+func responseSane(resp *Response) bool {
+	return len(resp.Err) <= MaxName && len(resp.Data)+len(resp.DataTail) <= MaxData &&
+		len(resp.Path) <= MaxHops
+}
+
+// appendResponseHead encodes resp up to and including the payload length
+// prefix, which covers Data and DataTail together; appendResponseTail
+// encodes the trace section after them.
+func appendResponseHead(b []byte, resp *Response) []byte {
 	ok := byte(0)
 	if resp.OK {
 		ok = 1
@@ -563,13 +604,31 @@ func AppendResponse(b []byte, resp *Response) ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, resp.Hops)
 	b = binary.BigEndian.AppendUint64(b, resp.Version)
 	b = appendString(b, resp.Err)
-	b = appendBytes(b, resp.Data)
-	b = appendHops(b, resp.Path)
-	return b, nil
+	return binary.BigEndian.AppendUint32(b, uint32(len(resp.Data)+len(resp.DataTail)))
 }
 
-// DecodeResponse parses a response payload.
+func appendResponseTail(b []byte, resp *Response) []byte {
+	return appendHops(b, resp.Path)
+}
+
+// AppendResponse encodes resp onto b.
+func AppendResponse(b []byte, resp *Response) ([]byte, error) {
+	if !responseSane(resp) {
+		return nil, ErrFrameTooLarge
+	}
+	b = appendResponseHead(b, resp)
+	b = append(append(b, resp.Data...), resp.DataTail...)
+	return appendResponseTail(b, resp), nil
+}
+
+// DecodeResponse parses a response payload. Data is copied out of b.
 func DecodeResponse(b []byte) (*Response, error) {
+	return decodeResponse(b, false)
+}
+
+// decodeResponse parses a response payload; with view set (the caller
+// owns b) Data is a view into b instead of a copy.
+func decodeResponse(b []byte, view bool) (*Response, error) {
 	if len(b) < 1 {
 		return nil, ErrCorrupt
 	}
@@ -588,7 +647,7 @@ func DecodeResponse(b []byte) (*Response, error) {
 	if resp.Err, b, err = takeString(b, MaxName); err != nil {
 		return nil, err
 	}
-	if resp.Data, b, err = takeBytes(b, MaxData); err != nil {
+	if resp.Data, b, err = takeBytes(b, MaxData, view); err != nil {
 		return nil, err
 	}
 	if resp.Path, b, err = takeHops(b); err != nil {
@@ -632,23 +691,34 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // that actually arrive. A frame's declared length is attacker-controlled:
 // a malicious or corrupt peer can claim MaxFrame (16 MiB) and send
 // nothing, so allocating the declared size up front would let cheap lies
-// pin real memory. Pooled read buffers carry readChunk capacity, so every
-// frame up to 64 KiB is a single io.ReadFull with no allocation; larger
-// frames grow chunk-by-chunk as payload bytes arrive, capping the damage
-// of a lying prefix at one chunk.
+// pin real memory. A frame that fits a pooled buffer is one io.ReadFull
+// into it; a larger one is read into pooled readChunk segments as its
+// bytes arrive (readOwned), capping the damage of a lying prefix at one
+// segment.
 const readChunk = 64 << 10
 
-// maxPooledBuf bounds the codec buffers kept in the pool, so one oversize
-// frame does not pin megabytes behind the pool forever.
-const maxPooledBuf = 1 << 20
+// frameSlack is the room pooled buffers carry past readChunk for a
+// frame's header, name and trace section, so a request carrying a
+// readChunk-sized payload still takes the single-read path.
+const frameSlack = 1 << 10
+
+// bufCap is the capacity of a fresh pooled codec buffer and the largest
+// frame read into one.
+const bufCap = readChunk + frameSlack
 
 // bufPool recycles encode and decode buffers across exchanges — the frame
 // codec's per-request allocations were the hottest constant cost on the
-// wire path. Buffers are returned only by this package: the decode paths
-// copy every field out of the raw frame, so pooled memory never escapes.
+// wire path. Buffers are returned only by this package, so pooled memory
+// never escapes: a frame read into one is decoded with every field copied
+// out, and an encoded frame is written before its buffer is returned.
+// Frames too large for a pooled buffer are read into a buffer the decoded
+// message owns, and their byte fields are views into it (readPayload).
+// Encoding never grows a pooled buffer past bufCap: a frame is copied
+// into one whole only when its payload is under splitPayload, and its
+// other fields are bounded by MaxName and MaxHops.
 var bufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, readChunk)
+		b := make([]byte, 0, bufCap)
 		return &b
 	},
 }
@@ -656,12 +726,12 @@ var bufPool = sync.Pool{
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
 
 func putBuf(b *[]byte) {
-	if cap(*b) > maxPooledBuf {
-		return
-	}
 	*b = (*b)[:0]
 	bufPool.Put(b)
 }
+
+// segPool recycles the fixed-size segments large frames are read into.
+var segPool = sync.Pool{New: func() any { return new([readChunk]byte) }}
 
 // readFrameHeader parses the length word (and the request ID of a
 // pipelined frame) off the stream.
@@ -686,30 +756,52 @@ func readFrameHeader(r io.Reader) (n int, id uint64, hasID bool, err error) {
 	return n, id, hasID, nil
 }
 
-// readFrameInto reads n payload bytes into buf, reusing its capacity. A
-// frame within cap(buf) is one io.ReadFull; a larger one grows chunk by
-// chunk so a lying length prefix cannot force a frame-sized allocation.
-func readFrameInto(r io.Reader, buf []byte, n int) ([]byte, error) {
-	if n <= cap(buf) {
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
+// readOwned reads n payload bytes into a fresh exact-size buffer the
+// caller owns. The bytes land in pooled readChunk segments as they
+// arrive — at most one segment is taken ahead of them — and are joined
+// into the result only once the last one is in, so the frame costs one
+// allocation of its own size and one copy.
+func readOwned(r io.Reader, n int) ([]byte, error) {
+	var stack [32][]byte // a chunk-sized frame's segments, without growing the list
+	segs := stack[:0]
+	defer func() {
+		for _, s := range segs {
+			segPool.Put((*[readChunk]byte)(s[:readChunk]))
+		}
+	}()
+	for got := 0; got < n; {
+		seg := segPool.Get().(*[readChunk]byte)
+		k := min(n-got, readChunk)
+		segs = append(segs, seg[:k])
+		if _, err := io.ReadFull(r, seg[:k]); err != nil {
 			return nil, err
 		}
-		return buf, nil
+		got += k
 	}
-	buf = buf[:0]
-	for len(buf) < n {
-		chunk := n - len(buf)
-		if chunk > readChunk {
-			chunk = readChunk
+	// bytes.Join allocates its result without zeroing it first.
+	return bytes.Join(segs, nil), nil
+}
+
+// readPayload reads an n-byte frame payload and hands it to decode. A
+// payload that fits a pooled buffer is read into one, and owned is false:
+// the buffer is reused once decode returns, so decode must copy what it
+// keeps. A larger payload is read by readOwned, and owned is true: decode
+// may return views into it, which then own it.
+func readPayload(r io.Reader, n int, decode func(b []byte, owned bool) error) error {
+	if n > bufCap {
+		b, err := readOwned(r, n)
+		if err != nil {
+			return err
 		}
-		start := len(buf)
-		buf = append(buf, make([]byte, chunk)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
+		return decode(b, true)
 	}
-	return buf, nil
+	bp := getBuf()
+	defer putBuf(bp)
+	b := (*bp)[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
+		return err
+	}
+	return decode(b, false)
 }
 
 // ReadFrame reads one length-prefixed payload, legacy or pipelined (a
@@ -721,26 +813,49 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readFrameInto(r, nil, n)
+	return readOwned(r, n)
 }
 
-// writeFramed encodes the header (ID'd when hasID), appends the payload
-// via encode, and writes the whole frame with a single Write — one
-// syscall, and no interleaving risk for concurrent writers that already
-// serialize on a higher-level lock.
-func writeFramed(w io.Writer, id uint64, hasID bool, encode func([]byte) ([]byte, error)) error {
+// splitPayload is the payload size from which a frame's payload is
+// written from its own memory instead of being copied into the pooled
+// frame buffer: above it the copy costs more than the extra iovec (or
+// Write call, on a writer without writev).
+const splitPayload = 32 << 10
+
+// writeFramed writes one frame: the length word (with the request ID when
+// hasID), then head, the body parts and tail, where head and tail encode
+// the fields around the payload into the pooled frame buffer. Bodies
+// under splitPayload in total are copied between them and the frame goes
+// out in a single Write. Larger bodies go out from their own memory as
+// net.Buffers: one writev on a TCP connection; through a bufio.Writer the
+// large parts pass straight to the underlying writer. Concurrent writers
+// must already serialize on a higher-level lock.
+func writeFramed(w io.Writer, id uint64, hasID bool, head, tail func([]byte) []byte, body ...[]byte) error {
 	bp := getBuf()
 	defer putBuf(bp)
 	hdrLen := 4
 	if hasID {
 		hdrLen += frameIDWire
 	}
-	buf := append((*bp)[:0], make([]byte, hdrLen)...)
-	buf, err := encode(buf)
-	if err != nil {
-		return err
+	n := 0
+	for _, p := range body {
+		n += len(p)
 	}
+	split := n >= splitPayload
+	buf := append((*bp)[:0], make([]byte, hdrLen)...)
+	buf = head(buf)
+	if !split {
+		for _, p := range body {
+			buf = append(buf, p...)
+		}
+	}
+	mid := len(buf)
+	buf = tail(buf)
+	*bp = buf
 	payload := len(buf) - hdrLen
+	if split {
+		payload += n
+	}
 	if payload > MaxFrame {
 		return ErrFrameTooLarge
 	}
@@ -750,20 +865,55 @@ func writeFramed(w io.Writer, id uint64, hasID bool, encode func([]byte) ([]byte
 		binary.BigEndian.PutUint64(buf[4:], id)
 	}
 	binary.BigEndian.PutUint32(buf[:4], word)
-	_, err = w.Write(buf)
-	*bp = buf
+	if !split {
+		_, err := w.Write(buf)
+		return err
+	}
+	parts := make(net.Buffers, 0, len(body)+2)
+	parts = append(parts, buf[:mid])
+	for _, p := range body {
+		if len(p) > 0 {
+			parts = append(parts, p)
+		}
+	}
+	parts = append(parts, buf[mid:])
+	_, err := parts.WriteTo(w)
 	return err
+}
+
+// writeRequest frames and writes one request, its Data written from its
+// own memory when large (writeFramed).
+func writeRequest(w io.Writer, r *Request, id uint64, hasID bool) error {
+	if !requestSane(r) {
+		return ErrFrameTooLarge
+	}
+	return writeFramed(w, id, hasID,
+		func(b []byte) []byte { return appendRequestHead(b, r) },
+		func(b []byte) []byte { return appendRequestTail(b, r) },
+		r.Data)
+}
+
+// writeResponse frames and writes one response, its Data and DataTail
+// written from their own memory when large (writeFramed).
+func writeResponse(w io.Writer, resp *Response, id uint64, hasID bool) error {
+	if !responseSane(resp) {
+		return ErrFrameTooLarge
+	}
+	return writeFramed(w, id, hasID,
+		func(b []byte) []byte { return appendResponseHead(b, resp) },
+		func(b []byte) []byte { return appendResponseTail(b, resp) },
+		resp.Data, resp.DataTail)
 }
 
 // WriteRequest frames and writes one request in the legacy framing.
 func WriteRequest(w io.Writer, r *Request) error {
-	return writeFramed(w, 0, false, func(b []byte) ([]byte, error) { return AppendRequest(b, r) })
+	return writeRequest(w, r, 0, false)
 }
 
 // WriteRequestID frames and writes one request in the pipelined framing,
 // carrying id for out-of-order response correlation.
 func WriteRequestID(w io.Writer, r *Request, id uint64) error {
-	return writeFramed(w, id, true, func(b []byte) ([]byte, error) { return AppendRequest(b, r) })
+	return writeRequest(w, r, id, true)
 }
 
 // ReadRequest reads and decodes one request, legacy or pipelined (the
@@ -775,20 +925,19 @@ func ReadRequest(r io.Reader) (*Request, error) {
 
 // ReadRequestID reads and decodes one request and reports the request ID
 // of a pipelined frame (hasID false means a legacy frame: the sender
-// expects responses in request order).
+// expects responses in request order). The request owns its Data: a
+// large frame's Data is a capacity-limited view into the frame buffer
+// nothing else references, a small one's a copy.
 func ReadRequestID(r io.Reader) (*Request, uint64, bool, error) {
 	n, id, hasID, err := readFrameHeader(r)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	bp := getBuf()
-	defer putBuf(bp)
-	buf, err := readFrameInto(r, *bp, n)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	*bp = buf[:0]
-	req, err := DecodeRequest(buf)
+	var req *Request
+	err = readPayload(r, n, func(b []byte, owned bool) (err error) {
+		req, err = decodeRequest(b, owned)
+		return err
+	})
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -797,13 +946,13 @@ func ReadRequestID(r io.Reader) (*Request, uint64, bool, error) {
 
 // WriteResponse frames and writes one response in the legacy framing.
 func WriteResponse(w io.Writer, resp *Response) error {
-	return writeFramed(w, 0, false, func(b []byte) ([]byte, error) { return AppendResponse(b, resp) })
+	return writeResponse(w, resp, 0, false)
 }
 
 // WriteResponseID frames and writes one response in the pipelined
 // framing, echoing the request's id.
 func WriteResponseID(w io.Writer, resp *Response, id uint64) error {
-	return writeFramed(w, id, true, func(b []byte) ([]byte, error) { return AppendResponse(b, resp) })
+	return writeResponse(w, resp, id, true)
 }
 
 // ReadResponse reads and decodes one response, legacy or pipelined (the
@@ -814,20 +963,18 @@ func ReadResponse(r io.Reader) (*Response, error) {
 }
 
 // ReadResponseID reads and decodes one response and reports the echoed
-// request ID of a pipelined frame.
+// request ID of a pipelined frame. The response owns its Data, as in
+// ReadRequestID.
 func ReadResponseID(r io.Reader) (*Response, uint64, bool, error) {
 	n, id, hasID, err := readFrameHeader(r)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	bp := getBuf()
-	defer putBuf(bp)
-	buf, err := readFrameInto(r, *bp, n)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	*bp = buf[:0]
-	resp, err := DecodeResponse(buf)
+	var resp *Response
+	err = readPayload(r, n, func(b []byte, owned bool) (err error) {
+		resp, err = decodeResponse(b, owned)
+		return err
+	})
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -87,7 +87,10 @@ func AppendPutReq(b []byte, r *PutReq) ([]byte, error) {
 	return b, nil
 }
 
-// DecodePutReq parses a KindPut request payload.
+// DecodePutReq parses a KindPut request payload. The returned Chunk is a
+// capacity-limited view into b, not a copy: b must stay unmodified for as
+// long as Chunk is used, which holds for the Data of a Request read off
+// the wire — it belongs to that Request alone.
 func DecodePutReq(b []byte) (*PutReq, error) {
 	if len(b) < 1 {
 		return nil, ErrCorrupt
@@ -110,7 +113,7 @@ func DecodePutReq(b []byte) (*PutReq, error) {
 	if r.ChunkCRC, b, err = takeUint32(b); err != nil {
 		return nil, err
 	}
-	if r.Chunk, b, err = takeBytes(b, MaxPutChunkBytes); err != nil {
+	if r.Chunk, b, err = takeBytes(b, MaxPutChunkBytes, true); err != nil {
 		return nil, err
 	}
 	if len(b) != 0 || !putReqSane(r) {

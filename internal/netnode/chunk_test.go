@@ -292,6 +292,26 @@ func TestFetchWireSemantics(t *testing.T) {
 		t.Fatalf("holder counters: served=%d refusals=%d",
 			peers[1].Stats().ChunksServed.Load(), peers[1].Stats().ChunkRefusals.Load())
 	}
+	// A single-chunk head answers the chunk's own CRC as the file's.
+	if _, fr = fetch(0, 20_000, 0); fr.FileCRC != crc32.Checksum(data, table) || fr.FileCRC != fr.ChunkCRC {
+		t.Fatal("single-chunk head: file CRC differs from the chunk's")
+	}
+	// The head's file CRC always covers the bytes held now: a new version
+	// of the same size, and a copy evicted and placed again with other
+	// bytes of the same size at the same version (two writes acked with
+	// one version leave such siblings), each answer their own bytes' CRC.
+	next := chunkPayload(10_000, 5)
+	peers[1].store.Update("f", next, 4)
+	if resp, fr = fetch(0, 4096, 0); resp.Version != 4 || fr.FileCRC != crc32.Checksum(next, table) {
+		t.Fatalf("head after update: version %d, file CRC from the old copy", resp.Version)
+	}
+	sibling := chunkPayload(10_000, 6)
+	peers[1].store.Delete("f")
+	peers[1].store.Put(store.File{Name: "f", Data: sibling, Version: 4}, store.Inserted)
+	if resp, fr = fetch(0, 4096, 0); resp.Version != 4 || fr.FileCRC != crc32.Checksum(sibling, table) ||
+		fr.ChunkCRC != crc32.Checksum(sibling[:4096], table) {
+		t.Fatalf("head after re-place at version %d: file CRC of the evicted copy", resp.Version)
+	}
 }
 
 // TestLocateSetAnswer checks the replica-set locate: the holder lists

@@ -55,16 +55,16 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 	} else {
 		f, ok = p.store.Peek(req.Name)
 	}
-	if ok && req.Version != 0 && f.Version != req.Version && replica {
-		// The store moved past the pin, but the pinned body may still sit
-		// in the outbox for exactly this pull.
-		if data, ver, boxed := p.outbox.get(req.Name, req.Version); boxed {
-			f, ok = store.File{Name: req.Name, Data: data, Version: ver}, true
-		}
-	}
-	if !ok && replica {
-		if data, ver, boxed := p.outbox.get(req.Name, req.Version); boxed {
-			f, ok = store.File{Name: req.Name, Data: data, Version: ver}, true
+	// boxCRC is the whole-file CRC of a body served from the outbox, which
+	// computed it when the body was parked.
+	var boxCRC uint32
+	boxed := false
+	if replica && (!ok || (req.Version != 0 && f.Version != req.Version)) {
+		// The store misses or moved past the pin, but the pinned body may
+		// still sit in the outbox for exactly this pull.
+		if e, hit := p.outbox.get(req.Name, req.Version); hit {
+			f, ok = store.File{Name: req.Name, Data: e.data, Version: e.version}, true
+			boxCRC, boxed = e.crc, true
 		}
 	}
 	if !ok {
@@ -94,17 +94,28 @@ func (p *Peer) handleFetch(req *msg.Request) *msg.Response {
 		// The whole-file CRC is O(total); computing it per chunk would make
 		// an N-chunk transfer O(N·total). Only the head chunk carries it,
 		// and the client always requests the head first to pin the shape.
-		fresp.FileCRC = crc32.Checksum(f.Data, castagnoli)
+		// A single-chunk file's equals the chunk's and a parked body's came
+		// with it; a stored copy is summed over the bytes served.
+		switch {
+		case end == total:
+			fresp.FileCRC = fresp.ChunkCRC
+		case boxed:
+			fresp.FileCRC = boxCRC
+		default:
+			fresp.FileCRC = crc32.Checksum(f.Data, castagnoli)
+		}
 	}
-	data, err := msg.AppendFetchResp(nil, fresp)
+	hdr, err := msg.AppendFetchRespHeader(nil, fresp)
 	if err != nil {
 		return &msg.Response{Err: fmt.Sprintf("netnode: fetch encode: %v", err)}
 	}
 	p.stats.ChunksServed.Add(1)
 	p.stats.ChunkBytes.Add(uint64(len(chunk)))
 	p.stats.DirectServed.Add(1)
+	// The chunk goes out as the payload's tail straight from the stored
+	// copy, which is never mutated in place, so serving it copies nothing.
 	return &msg.Response{OK: true, ServedBy: uint32(p.cfg.PID), Hops: req.Hops,
-		Version: f.Version, Data: data}
+		Version: f.Version, Data: hdr, DataTail: chunk}
 }
 
 // handleLocateSet resolves a name to its replica set: the same lookup-tree

@@ -218,14 +218,14 @@ func (o *outbox) put(name string, version uint64, crc uint32, data []byte) {
 
 // get answers name's parked payload when it matches the pin (0 accepts
 // any version).
-func (o *outbox) get(name string, pin uint64) ([]byte, uint64, bool) {
+func (o *outbox) get(name string, pin uint64) (outEntry, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	e, ok := o.entries[name]
 	if !ok || time.Now().After(e.expires) || (pin != 0 && e.version != pin) {
-		return nil, 0, false
+		return outEntry{}, false
 	}
-	return e.data, e.version, true
+	return *e, true
 }
 
 // handlePut is the staged-upload entry point: data frames stage, abort
@@ -639,33 +639,36 @@ func (p *Peer) pullBody(name string, version uint64, nr *msg.NotifyReq) ([]byte,
 	srcs := make([]stream.Source, 0, len(nr.Sources))
 	for _, h := range nr.Sources {
 		if bitops.PID(h.PID) == p.cfg.PID {
-			if data, ver, ok := p.fetchLocal(name, version); ok && ver == version &&
-				uint64(len(data)) == nr.TotalSize && crc32.Checksum(data, castagnoli) == nr.FileCRC {
+			if data, crc, ok := p.fetchLocal(name, version); ok &&
+				uint64(len(data)) == nr.TotalSize && crc == nr.FileCRC {
 				return data, nil
 			}
 			continue
 		}
 		srcs = append(srcs, stream.Source{PID: h.PID, Addr: h.Addr})
 	}
-	data, _, err := p.puller.Fetch(name, version, srcs)
+	// FetchCRC has already checked the body against the whole-file CRC it
+	// returns; comparing that CRC is the same check as re-summing the body.
+	data, _, crc, err := p.puller.FetchCRC(name, version, srcs)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(data)) != nr.TotalSize || crc32.Checksum(data, castagnoli) != nr.FileCRC {
+	if uint64(len(data)) != nr.TotalSize || crc != nr.FileCRC {
 		return nil, fmt.Errorf("netnode: pulled body does not match notify shape")
 	}
 	p.stats.NotifyPulls.Add(1)
 	return data, nil
 }
 
-// fetchLocal answers name's bytes from this peer itself: the write outbox
-// first (it can be ahead of the store mid-broadcast), then the store.
-func (p *Peer) fetchLocal(name string, pin uint64) ([]byte, uint64, bool) {
-	if data, ver, ok := p.outbox.get(name, pin); ok {
-		return data, ver, true
+// fetchLocal answers name's bytes at exactly version pin, with their
+// whole-file CRC-32C, from this peer itself: the write outbox first (it
+// can be ahead of the store mid-broadcast), then the store.
+func (p *Peer) fetchLocal(name string, pin uint64) ([]byte, uint32, bool) {
+	if e, ok := p.outbox.get(name, pin); ok && e.version == pin {
+		return e.data, e.crc, true
 	}
-	if f, ok := p.store.Peek(name); ok && (pin == 0 || f.Version == pin) {
-		return f.Data, f.Version, true
+	if f, ok := p.store.Peek(name); ok && f.Version == pin {
+		return f.Data, crc32.Checksum(f.Data, castagnoli), true
 	}
 	return nil, 0, false
 }

@@ -252,8 +252,16 @@ func (t *transfer) runRange(offset uint64, length uint32) (*msg.FetchResp, error
 // ErrVersionGone (concurrent write; re-locate and retry), ErrChecksum, or
 // the last transport error when every replica failed.
 func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint64, error) {
+	data, ver, _, err := f.FetchCRC(name, pin, sources)
+	return data, ver, err
+}
+
+// FetchCRC is Fetch that also returns the whole-file CRC-32C the payload
+// was verified against, so a caller holding an expected checksum compares
+// it instead of summing the payload a second time.
+func (f *Fetcher) FetchCRC(name string, pin uint64, sources []Source) ([]byte, uint64, uint32, error) {
 	if len(sources) == 0 {
-		return nil, 0, ErrNotFound
+		return nil, 0, 0, ErrNotFound
 	}
 	f.stats.InFlight.Add(1)
 	defer f.stats.InFlight.Add(-1)
@@ -267,17 +275,18 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 	// whole-file CRC the rest of the transfer is verified against.
 	head, err := t.headChunk()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	total := head.TotalSize
 	if uint64(len(head.Chunk)) == total {
-		// Single-chunk transfer: the chunk CRC already covered every byte;
-		// the file CRC re-checks the same range.
-		if crc32.Checksum(head.Chunk, castagnoli) != head.FileCRC {
-			return nil, 0, ErrChecksum
+		// Single-chunk transfer: fetchRange verified the chunk's bytes sum
+		// to ChunkCRC, so they sum to the file CRC exactly when it equals
+		// ChunkCRC.
+		if head.ChunkCRC != head.FileCRC {
+			return nil, 0, 0, ErrChecksum
 		}
 		f.noteDone(t)
-		return head.Chunk, t.version, nil
+		return head.Chunk, t.version, head.FileCRC, nil
 	}
 
 	buf := make([]byte, total)
@@ -345,15 +354,15 @@ func (f *Fetcher) Fetch(name string, pin uint64, sources []Source) ([]byte, uint
 	wg.Wait()
 	if failErr != nil {
 		if t.gone.Load() && (failErr.Error() == msg.WrongVersionError || allDead(t)) {
-			return nil, 0, ErrVersionGone
+			return nil, 0, 0, ErrVersionGone
 		}
-		return nil, 0, failErr
+		return nil, 0, 0, failErr
 	}
 	if crc32.Checksum(buf, castagnoli) != head.FileCRC {
-		return nil, 0, ErrChecksum
+		return nil, 0, 0, ErrChecksum
 	}
 	f.noteDone(t)
-	return buf, t.version, nil
+	return buf, t.version, head.FileCRC, nil
 }
 
 // headChunk fetches offset 0 from the first willing source, pinning the
